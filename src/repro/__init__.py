@@ -50,7 +50,6 @@ from .models import (
 )
 from .obs import (
     EventBus,
-    MetricsRegistry,
     SimProfiler,
     TraceRecorder,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "Simulator",
     "make_cca",
     "EventBus",
-    "MetricsRegistry",
     "SimProfiler",
     "TraceRecorder",
     "jains_fairness_index",

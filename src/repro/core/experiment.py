@@ -33,16 +33,15 @@ faulted runs are bit-reproducible and cacheable.
 
 from __future__ import annotations
 
+import math
 import random
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..analysis.convergence import ConvergenceTracker
 from ..faults.injector import FaultInjector
 from ..faults.schedule import FaultSchedule
 from ..faults.watchdog import SimWatchdog, WatchdogConfig
 from ..instrumentation.flowmon import FlowMonitor
-from ..instrumentation.queuemon import QueueMonitor
-from ..instrumentation.tcpprobe import CwndProbe
 from ..obs.bus import EventBus
 from ..obs.profiler import SimProfiler
 from ..sim.engine import SimulationError, Simulator
@@ -52,6 +51,7 @@ from ..tcp.cca import CCA_REGISTRY
 from ..tcp.cca.base import CongestionControl
 from ..tcp.cca.bbr import Bbr
 from ..tcp.cca.bbr2 import Bbr2
+from ..tcp.connection import TcpSender
 from ..units import MSS
 from .results import ExperimentResult, FlowResult, RunHealth
 from .scenarios import Scenario
@@ -99,6 +99,11 @@ def _make_queue(scenario: Scenario, rng: random.Random) -> Queue:
     return DropTailQueue(scenario.buffer_bytes)
 
 
+def _halvings_and_rtos(senders: List[TcpSender]) -> List[Tuple[int, int]]:
+    """Each sender's lifetime ``(halvings, rtos)`` counts at this instant."""
+    return [(s.stats.loss_recovery_events, s.stats.rto_events) for s in senders]
+
+
 def run_experiment(
     scenario: Scenario,
     record_drop_times: bool = True,
@@ -136,12 +141,11 @@ def run_experiment(
     max_events:
         Override the :func:`default_event_budget` safety valve.
     bus:
-        An :class:`~repro.obs.bus.EventBus` to wire the run's
-        instrumentation through. All built-in observers (cwnd probes,
-        queue monitor, watchdog, fault injector) ride this bus, so
-        callers can subscribe additional consumers — trace recorders,
-        metrics samplers — before the run without touching any
-        component. A private bus is created when none is given.
+        An :class:`~repro.obs.bus.EventBus` to bind every sender and the
+        bottleneck queue to, so callers can subscribe observers (trace
+        recorders) without touching any component; the fault injector
+        also publishes its timeline on it. The result never depends on
+        the bus: its counters come from the senders and the queue.
     profiler:
         A :class:`~repro.obs.profiler.SimProfiler` to install on the
         simulator. Profiling is observation-only: the returned result
@@ -151,8 +155,6 @@ def run_experiment(
     sim = Simulator()
     if profiler is not None:
         profiler.install(sim)
-    if bus is None:
-        bus = EventBus()
 
     specs: List[FlowSpec] = []
     cca_names: List[str] = []
@@ -180,23 +182,10 @@ def run_experiment(
         delayed_ack=scenario.delayed_ack,
     )
 
-    # All instrumentation observes through the event bus: one forwarder
-    # per sender/queue, any number of subscribers behind it.
-    for flow in dumbbell.flows:
-        bus.bind_sender(flow.sender)
-    bus.bind_queue(queue)
-
-    queue_mon = QueueMonitor(
-        queue, record_drop_times=record_drop_times, start_time=scenario.warmup,
-        bus=bus,
-    )
-    probes = []
-    for flow in dumbbell.flows:
-        probe = CwndProbe(start_time=scenario.warmup)
-        # Counters-only subscription: results use halvings/rtos, never
-        # the per-ACK series, so keep the per-ACK fast path engaged.
-        probe.subscribe_counters(bus, flow.flow_id)
-        probes.append(probe)
+    if bus is not None:
+        for flow in dumbbell.flows:
+            bus.bind_sender(flow.sender)
+        bus.bind_queue(queue)
     senders = [flow.sender for flow in dumbbell.flows]
     flow_mon = FlowMonitor(sim, senders)
 
@@ -217,8 +206,7 @@ def run_experiment(
     dog: Optional[SimWatchdog] = None
     if watchdog is not None:
         dog = SimWatchdog(
-            sim, flow_mon, [spec.start_time for spec in specs], config=watchdog,
-            bus=bus,
+            sim, flow_mon, [spec.start_time for spec in specs], config=watchdog
         )
         dog.arm()
 
@@ -235,10 +223,22 @@ def run_experiment(
         return ""
 
     dumbbell.start_all()
+    # The warm-up cut: halvings, RTOs and queue counts start at exactly
+    # t == warmup. The warm-up run stops just below the cut to take it,
+    # so events at the cut itself are counted; a scheduled cut event
+    # would change ``events_processed``, which is part of the result.
+    pre_cut = math.nextafter(scenario.warmup, -math.inf)
+    sim.run(until=pre_cut, max_events=budget)
     reason = ""
-    sim.run(until=scenario.warmup, max_events=budget)
-    if sim.now < scenario.warmup:
+    if sim.now < pre_cut or (dog is not None and dog.aborted):
         reason = _interrupt_reason()
+    cut: Optional[List[Tuple[int, int]]] = None
+    if not reason:
+        cut = _halvings_and_rtos(senders)
+        queue.start_flow_counts(record_drop_times)
+        sim.run(until=scenario.warmup, max_events=budget)
+        if sim.now < scenario.warmup:
+            reason = _interrupt_reason()
 
     if not reason:
         flow_mon.open_window()
@@ -304,8 +304,14 @@ def run_experiment(
     )
     measured_duration = sim.now - scenario.warmup if window_open else 0.0
 
+    if cut is None:  # stopped before the cut: nothing was measured
+        cut = _halvings_and_rtos(senders)
+    arrivals = queue.arrivals_by_flow or {}
+    drops = queue.drops_by_flow or {}
     flows: List[FlowResult] = []
-    for flow, probe, cca_name in zip(dumbbell.flows, probes, cca_names):
+    for flow, cca_name, (halvings_at_cut, rtos_at_cut) in zip(
+        dumbbell.flows, cca_names, cut
+    ):
         sender = flow.sender
         flows.append(
             FlowResult(
@@ -319,10 +325,10 @@ def run_experiment(
                 ),
                 packets_sent=sender.stats.packets_sent,
                 retransmits=sender.stats.retransmits,
-                halvings=probe.halvings,
-                rtos=probe.rtos,
-                queue_drops=queue_mon.drops_by_flow.get(flow.flow_id, 0),
-                queue_arrivals=queue_mon.arrivals_by_flow.get(flow.flow_id, 0),
+                halvings=sender.stats.loss_recovery_events - halvings_at_cut,
+                rtos=sender.stats.rto_events - rtos_at_cut,
+                queue_drops=drops.get(flow.flow_id, 0),
+                queue_arrivals=arrivals.get(flow.flow_id, 0),
             )
         )
 
@@ -340,9 +346,9 @@ def run_experiment(
         scenario=scenario,
         flows=flows,
         measured_duration=measured_duration,
-        queue_drops=queue_mon.drops_total,
-        queue_arrivals=queue_mon.arrivals_total,
-        drop_times=list(queue_mon.drop_times),
+        queue_drops=sum(drops.values()),
+        queue_arrivals=sum(arrivals.values()),
+        drop_times=list(queue.drop_times or ()),
         events_processed=sim.events_processed,
         health=health,
     )

@@ -33,10 +33,9 @@ graceful partial result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..instrumentation.flowmon import FlowMonitor
-from ..obs.bus import EventBus
 from ..sim.engine import Simulator
 
 
@@ -88,15 +87,7 @@ class SimWatchdog:
         monitor: FlowMonitor,
         start_times: Sequence[float],
         config: Optional[WatchdogConfig] = None,
-        bus: Optional[EventBus] = None,
     ) -> None:
-        """``bus`` switches progress observation onto the event bus: one
-        wildcard ``cwnd`` subscription counts per-flow ACK events, which
-        move exactly when the polled ``(delivered, acks)`` marks move
-        (both advance once per processed ACK, and delivery only happens
-        inside ACK processing), so the stall verdicts — and therefore
-        the run results — are identical to the polling path while the
-        watchdog coexists with any other subscriber on the same sender."""
         if len(start_times) != len(monitor.senders):
             raise ValueError("need one start time per monitored flow")
         self.sim = sim
@@ -110,27 +101,9 @@ class SimWatchdog:
             sender.flow_id: start
             for sender, start in zip(monitor.senders, start_times)
         }
-        self._last_marks: Dict[int, Any] = {}
+        self._last_marks: Dict[int, Tuple[int, int]] = {}
         self._last_progress: Dict[int, float] = {}
         self._armed = False
-        self._ack_counts: Optional[Dict[int, int]] = None
-        if bus is not None:
-            self._ack_counts = {fid: 0 for fid in self._start_times}
-            bus.subscribe("cwnd", self._on_cwnd_event)
-
-    def _on_cwnd_event(self, now: float, flow_id: int, kind: str, cwnd: float) -> None:
-        # Only "ack" marks progress: "rto"/"loss_event" fire while a
-        # sender retransmits into a dead link, which is exactly the
-        # stall signature the watchdog exists to catch.
-        if kind == "ack" and self._ack_counts is not None:
-            self._ack_counts[flow_id] = self._ack_counts.get(flow_id, 0) + 1
-
-    def _marks(self) -> Dict[int, Any]:
-        """Per-flow progress marks: bus-fed ACK counts when subscribed,
-        otherwise the monitor's polled ``(delivered, acks)`` counters."""
-        if self._ack_counts is not None:
-            return dict(self._ack_counts)
-        return dict(self.monitor.progress_marks())
 
     def arm(self) -> None:
         """Start the periodic checks (call once, before the run)."""
@@ -148,7 +121,7 @@ class SimWatchdog:
     def _check(self) -> None:
         self.checks += 1
         now = self.sim.now
-        marks = self._marks()
+        marks = self.monitor.progress_marks()
         stalled: List[int] = []
         runnable = 0
         for sender in self.monitor.senders:

@@ -1,9 +1,12 @@
-"""Measurement instrumentation: tcpprobe, queue drop logging, flow goodput."""
+"""Measurement instrumentation: flow goodput and packet capture.
+
+Halvings, RTOs and queue drops are counted by the senders and the queue
+themselves (``ConnectionStats``, ``Queue.start_flow_counts``); per-ACK
+cwnd series come from :class:`repro.obs.tracing.TraceRecorder`.
+"""
 
 from __future__ import annotations
 
 from .flowmon import FlowMonitor
-from .queuemon import OccupancySampler, QueueMonitor
-from .tcpprobe import CwndProbe
 
-__all__ = ["CwndProbe", "QueueMonitor", "OccupancySampler", "FlowMonitor"]
+__all__ = ["FlowMonitor"]

@@ -1,11 +1,12 @@
-"""Observability: event bus, metrics, profiler, structured traces.
+"""Observability: event bus, profiler, structured traces.
 
-The measurement layer the paper's analysis rides on (DESIGN.md §10):
+The optional observation layer over a run (DESIGN.md §10). The results
+never depend on it: senders and queues count halvings, RTOs, arrivals
+and drops themselves.
 
-- :class:`EventBus` — multi-subscriber typed topics replacing the old
-  single-slot ``cwnd_listener``/``drop_listener`` hooks;
-- :class:`MetricsRegistry` — counters, gauges, bounded histograms and
-  decimating ring-buffer time series (O(1) memory per metric);
+- :class:`EventBus` — multi-subscriber typed topics; the only hook into
+  senders and queues, installed once per component and only when
+  something subscribes;
 - :class:`SimProfiler` — per-handler event counts and wall time,
   guaranteed not to perturb results;
 - :class:`TraceRecorder` — bounded structured event capture with JSONL
@@ -15,13 +16,6 @@ The measurement layer the paper's analysis rides on (DESIGN.md §10):
 from __future__ import annotations
 
 from .bus import TOPICS, EventBus
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    TimeSeries,
-)
 from .profiler import HandlerProfile, SimProfiler, handler_name
 from .tracing import (
     DEFAULT_TOPICS,
@@ -35,11 +29,6 @@ from .tracing import (
 __all__ = [
     "TOPICS",
     "EventBus",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "TimeSeries",
-    "MetricsRegistry",
     "SimProfiler",
     "HandlerProfile",
     "handler_name",

@@ -1,14 +1,12 @@
 """Multi-subscriber event bus for simulation observability.
 
-The instrumentation hooks on core components (``TcpSender.cwnd_listener``,
-``Queue.drop_listener``) were single-slot: attaching a second observer
-silently clobbered the first, so a cwnd probe, a stall watchdog and a
-metrics sampler could not watch the same sender at once. The
-:class:`EventBus` replaces that pattern with typed topics and *ordered*
-subscriber lists — observers subscribe to the bus, and the bus installs
-exactly one forwarding callback per observed component (through the
-components' ``add_*_listener`` chaining hooks, so direct listeners still
-coexist).
+The bus is the one optional observation path into a run. Senders and
+queues count what the results need themselves (``ConnectionStats``,
+``Queue.dropped_packets`` and the per-flow queue counts); each also has
+a single ``observer`` hook, and the bus is what installs it. Observers
+subscribe to typed topics, and :meth:`EventBus.bind_sender` /
+:meth:`EventBus.bind_queue` give each component at most one hook that
+fans its events out to every subscriber.
 
 Topics and payloads (every subscriber receives ``fn(now, *payload)``):
 
@@ -25,15 +23,15 @@ fault     ``description`` (injector audit trail)      :meth:`publish`
 
 Design notes
 ------------
-- **Zero-overhead fast path.** Components test their (list-valued)
-  listener hooks for emptiness before computing any payload; an
-  unobserved sender or queue pays a single truthiness check per event.
-  Within the bus, dispatch loops iterate pre-resolved subscriber lists,
-  so an idle topic costs one empty-loop setup per event on a *bound*
-  component and nothing at all on an unbound one.
+- **Nothing observed, nothing called.** A bound component gets its hook
+  only once a subscription could reach it; until then its ``observer``
+  stays ``None`` and the per-ACK and per-packet paths pay one ``is
+  None`` test. A subscription made after binding installs the hook
+  then, so late subscribers still see every later event.
 - **Per-flow subscriptions.** ``subscribe(topic, fn, flow=fid)``
-  delivers only that flow's events. At 5000-flow CoreScale this keeps
-  per-flow observers O(1) per event instead of O(flows) filtering.
+  delivers only that flow's sender events. At 5000-flow CoreScale this
+  keeps per-flow observers O(1) per event instead of O(flows)
+  filtering.
 - **Ordering.** Subscribers fire in subscription order, wildcard
   (``flow=None``) subscribers before per-flow ones — deterministic, and
   part of the run's reproducibility contract.
@@ -44,37 +42,25 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from ..sim.queue import Queue
+    from ..tcp.connection import TcpSender
 
 #: The closed set of event topics.
 TOPICS: Tuple[str, ...] = ("cwnd", "loss", "rto", "enqueue", "drop", "fault")
 
+#: The topics a bound sender / queue feeds.
+_SENDER_TOPICS: Tuple[str, ...] = ("cwnd", "loss", "rto")
+_QUEUE_TOPICS: Tuple[str, ...] = ("enqueue", "drop")
+
 #: A bus subscriber: called as ``fn(now, *payload)`` (see module table).
 Subscriber = Callable[..., None]
 
-
-class _SenderLike(Protocol):
-    """What :meth:`EventBus.bind_sender` needs from a sender."""
-
-    flow_id: int
-
-    def add_cwnd_listener(
-        self, fn: Callable[[float, str, float], None], ack_events: bool = ...
-    ) -> Callable[[float, str, float], None]: ...
-
-    def enable_ack_events(self, fn: Callable[[float, str, float], None]) -> None: ...
-
-
-class _QueueLike(Protocol):
-    """What :meth:`EventBus.bind_queue` needs from a queue."""
-
-    def add_enqueue_listener(
-        self, fn: Callable[[float, Any], None]
-    ) -> Callable[[float, Any], None]: ...
-
-    def add_drop_listener(
-        self, fn: Callable[[float, Any], None]
-    ) -> Callable[[float, Any], None]: ...
+#: A component's hook, waiting for its first subscriber:
+#: ``(component, hook, topics, flow)``.
+_Binding = Tuple[Union["TcpSender", "Queue"], Callable[..., None], Tuple[str, ...], Optional[int]]
 
 
 class EventBus:
@@ -82,13 +68,11 @@ class EventBus:
 
     def __init__(self) -> None:
         # Keyed by (topic, flow): flow=None is the wildcard list. Lists
-        # are created once and captured by identity in forwarders, so
-        # subscribing after a component is bound still takes effect.
+        # are created once and captured by identity in hooks, so a
+        # subscription made after binding reaches an installed hook.
         self._subs: Dict[Tuple[str, Optional[int]], List[Subscriber]] = {}
-        # Senders bound via bind_sender, with their installed forwarder.
-        # Needed so a cwnd subscription arriving *after* the bind can
-        # upgrade the forwarder to per-ACK delivery (see bind_sender).
-        self._bound_senders: List[Tuple[_SenderLike, Callable[[float, str, float], None]]] = []
+        # Bound components whose hook is not installed yet.
+        self._idle: List[_Binding] = []
 
     # ------------------------------------------------------------------
     # Subscription management
@@ -110,16 +94,10 @@ class EventBus:
         ``fn`` so the handle can be kept for :meth:`unsubscribe`.
         """
         self._list(topic, flow).append(fn)
-        if topic == "cwnd":
-            # Senders bound before any cwnd subscriber existed were
-            # installed without per-ACK delivery; upgrade them now so
-            # the late-subscription contract still holds.
-            for sender, forward in self._bound_senders:
-                if flow is None or sender.flow_id == flow:
-                    try:
-                        sender.enable_ack_events(forward)
-                    except ValueError:
-                        continue  # forwarder was detached from this sender
+        if self._idle:
+            idle, self._idle = self._idle, []
+            for binding in idle:
+                self._install(*binding)
         return fn
 
     def unsubscribe(
@@ -146,8 +124,8 @@ class EventBus:
         """Deliver an event to a topic's wildcard subscribers.
 
         Sources without a flow identity (the fault injector) publish
-        here directly; sender/queue events go through the bound
-        forwarders installed by :meth:`bind_sender` / :meth:`bind_queue`.
+        here directly; sender/queue events go through the hooks
+        installed by :meth:`bind_sender` / :meth:`bind_queue`.
         """
         for fn in self._list(topic):
             fn(now, *payload)
@@ -156,22 +134,37 @@ class EventBus:
     # Component binding
     # ------------------------------------------------------------------
 
-    def bind_sender(self, sender: _SenderLike) -> Callable[[float, str, float], None]:
+    def _install(
+        self,
+        component: Union["TcpSender", "Queue"],
+        hook: Callable[..., None],
+        topics: Tuple[str, ...],
+        flow: Optional[int],
+    ) -> None:
+        """Install ``hook`` once a subscription could reach it, else park it."""
+        subs = self._subs
+        if any(subs.get((topic, None)) or subs.get((topic, flow)) for topic in topics):
+            component.observer = hook
+        else:
+            self._idle.append((component, hook, topics, flow))
+
+    @staticmethod
+    def _check_unobserved(component: Union["TcpSender", "Queue"]) -> None:
+        if component.observer is not None:
+            raise RuntimeError(
+                f"{type(component).__name__} already has an observer; "
+                "a component can be bound to one bus only"
+            )
+
+    def bind_sender(self, sender: "TcpSender") -> Callable[[float, str, float], None]:
         """Forward one sender's cwnd events onto ``cwnd``/``loss``/``rto``.
 
-        Installs a single chained listener on the sender (coexisting
-        with any directly attached listeners) and returns it so callers
-        can later ``sender.remove_cwnd_listener`` it.
-
-        The forwarder is installed with per-ACK delivery only when a
-        ``cwnd`` subscription (wildcard or for this flow) already
-        exists; otherwise the sender's zero-listener fast path skips
-        the bus entirely on the per-ACK hot path, and only the rare
-        kinds (``loss_event``/``rto``/``recovery_exit``) flow through.
-        A ``cwnd`` subscription arriving later upgrades the forwarder
-        (see :meth:`subscribe`), preserving the late-subscription
-        contract.
+        Returns the sender's hook. It is installed as ``sender.observer``
+        as soon as a subscription for this flow's topics exists (now or
+        later), and sees every cwnd event, including the per-ACK
+        ``"ack"`` kind.
         """
+        self._check_unobserved(sender)
         fid = sender.flow_id
         cwnd_all = self._list("cwnd")
         cwnd_one = self._list("cwnd", fid)
@@ -196,29 +189,22 @@ class EventBus:
                 for fn in rto_one:
                     fn(now, fid, cwnd)
 
-        wants_acks = bool(cwnd_all or cwnd_one)
-        sender.add_cwnd_listener(forward, ack_events=wants_acks)
-        self._bound_senders.append((sender, forward))
+        self._install(sender, forward, _SENDER_TOPICS, fid)
         return forward
 
-    def bind_queue(
-        self, queue: _QueueLike
-    ) -> Tuple[Callable[[float, Any], None], Callable[[float, Any], None]]:
+    def bind_queue(self, queue: "Queue") -> Callable[[float, str, Any], None]:
         """Forward a queue's arrivals/drops onto ``enqueue``/``drop``.
 
-        Returns the two installed listeners ``(enqueue, drop)``.
+        Returns the queue's hook, installed as ``queue.observer`` as soon
+        as either topic has a subscriber.
         """
+        self._check_unobserved(queue)
         enqueue_subs = self._list("enqueue")
         drop_subs = self._list("drop")
 
-        def forward_enqueue(now: float, packet: Any) -> None:
-            for fn in enqueue_subs:
+        def forward(now: float, kind: str, packet: Any) -> None:
+            for fn in enqueue_subs if kind == "enqueue" else drop_subs:
                 fn(now, packet)
 
-        def forward_drop(now: float, packet: Any) -> None:
-            for fn in drop_subs:
-                fn(now, packet)
-
-        queue.add_enqueue_listener(forward_enqueue)
-        queue.add_drop_listener(forward_drop)
-        return forward_enqueue, forward_drop
+        self._install(queue, forward, _QUEUE_TOPICS, None)
+        return forward

@@ -35,8 +35,8 @@ Version history:
   cosmetic change to ``Scenario.__repr__`` silently invalidated the
   cache, and adding a field with a default churned every key.
 - v8 — same simulator physics as v7; keys moved to the canonical-JSON
-  sha256 scheme above (results were carried forward by the one-shot
-  ``repro cache migrate``).
+  sha256 scheme above. The v7 pickles were unreadable and were deleted,
+  not carried forward.
 """
 
 from __future__ import annotations
@@ -93,8 +93,3 @@ def job_key(
     }
     return hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
 
-
-def legacy_key(scenario: Scenario, version: int) -> str:
-    """The pre-v8 ``md5(f"v{N}|{scenario!r}")`` key (migration only)."""
-    blob = f"v{version}|{scenario!r}"
-    return hashlib.md5(blob.encode()).hexdigest()

@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .keys import CACHE_VERSION, legacy_key
+from .keys import CACHE_VERSION
 
 try:  # POSIX only; on other platforms manifest updates are best-effort.
     import fcntl
@@ -47,7 +47,6 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 _OBJECT_RE = re.compile(r"^[0-9a-f]{64}\.pkl$")
-_LEGACY_RE = re.compile(r"^[0-9a-f]{32}\.pkl$")
 _TMP_PREFIX = ".tmp-"
 
 _MANIFEST_FORMAT = 1
@@ -90,24 +89,6 @@ class GcReport:
             "removed": list(self.removed),
             "kept": self.kept,
             "bytes_freed": self.bytes_freed,
-        }
-
-
-@dataclass
-class MigrationReport:
-    """Outcome of a legacy-pickle migration."""
-
-    migrated: List[str] = field(default_factory=list)
-    stale: List[str] = field(default_factory=list)
-    corrupt: List[str] = field(default_factory=list)
-    pruned: List[str] = field(default_factory=list)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "migrated": list(self.migrated),
-            "stale": list(self.stale),
-            "corrupt": list(self.corrupt),
-            "pruned": list(self.pruned),
         }
 
 
@@ -399,71 +380,3 @@ class RunStore:
             with self._manifest_lock():
                 self._write_manifest(survivors)
         return report
-
-
-# ----------------------------------------------------------------------
-# Legacy cache migration (pre-v8 md5 pickles)
-# ----------------------------------------------------------------------
-
-def migrate_legacy(
-    store: RunStore,
-    legacy_dir: Optional[str] = None,
-    legacy_version: int = CACHE_VERSION - 1,
-    prune: bool = False,
-) -> MigrationReport:
-    """One-shot import of legacy ``<md5>.pkl`` results into ``store``.
-
-    The legacy scheme stored a bare pickled ``ExperimentResult`` under
-    ``md5(f"v{N}|{scenario!r}")``. Every result carries its scenario, so
-    each pickle is validated by recomputing its legacy key: a match
-    means the entry belongs to ``legacy_version`` physics and is
-    re-stored under the canonical key; a mismatch means the entry is
-    from an older epoch (stale) and is skipped. Unreadable pickles are
-    reported as corrupt. With ``prune=True`` all processed legacy files
-    are deleted afterwards.
-    """
-    from .keys import job_key  # local import keeps module deps obvious
-
-    legacy_dir = legacy_dir if legacy_dir is not None else store.root
-    report = MigrationReport()
-    try:
-        names = sorted(os.listdir(legacy_dir))
-    except FileNotFoundError:
-        return report
-    for fname in names:
-        if not _LEGACY_RE.match(fname):
-            continue
-        path = os.path.join(legacy_dir, fname)
-        stem = fname[:-4]
-        try:
-            with open(path, "rb") as fh:
-                result = pickle.load(fh)
-            scenario = result.scenario
-        except Exception:
-            report.corrupt.append(path)
-            if prune:
-                with contextlib.suppress(OSError):
-                    os.unlink(path)
-                    report.pruned.append(path)
-            continue
-        if legacy_key(scenario, legacy_version) != stem:
-            report.stale.append(path)
-        else:
-            key = job_key(scenario)
-            store.put(
-                key,
-                result,
-                meta={
-                    "name": scenario.name,
-                    "version": CACHE_VERSION,
-                    "wall_seconds": float(getattr(result, "wall_seconds", 0.0)),
-                    "events": int(getattr(result, "events_processed", 0)),
-                    "migrated_from": fname,
-                },
-            )
-            report.migrated.append(path)
-        if prune:
-            with contextlib.suppress(OSError):
-                os.unlink(path)
-                report.pruned.append(path)
-    return report

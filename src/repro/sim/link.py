@@ -76,8 +76,8 @@ class Link:
     """A rate-limited link: queue discipline + transmitter + propagation.
 
     Packets offered while the transmitter is busy wait in ``queue``;
-    packets that the queue rejects are dropped (the queue handles drop
-    accounting and listener notification). The transmitter serialises one
+    packets that the queue rejects are dropped (the queue counts the drop
+    and shows it to its observer). The transmitter serialises one
     packet at a time at ``rate_bps`` and delivers it to ``sink`` after an
     additional propagation ``delay``.
 

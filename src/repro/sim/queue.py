@@ -6,25 +6,26 @@ sized to ~1 BDP; :class:`DropTailQueue` is the faithful equivalent.
 drop-tail; DESIGN.md lists queue discipline as an ablation axis).
 
 Queues are passive containers: the owning :class:`repro.sim.link.Link`
-drives enqueue/dequeue. Drop/enqueue notification happens through
-ordered listener lists (``add_drop_listener`` / ``add_enqueue_listener``,
-usually wired via :class:`repro.obs.bus.EventBus`) so instrumentation
-never has to subclass and any number of observers can coexist.
+drives enqueue/dequeue. A queue counts its own arrivals and drops, per
+flow once :meth:`Queue.start_flow_counts` is called, and shows each one
+to a single optional ``observer`` hook, which only
+:meth:`repro.obs.bus.EventBus.bind_queue` installs.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
-from typing import TYPE_CHECKING, Callable, Optional
+from collections import defaultdict, deque
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from .packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..lint.sanitizer import SimSanitizer
 
-#: Callback invoked as ``drop_listener(now, packet)`` on every drop.
-DropListener = Callable[[float, Packet], None]
+#: Observer hook, called as ``observer(now, kind, packet)`` with kind
+#: ``"enqueue"`` or ``"drop"``.
+QueueObserver = Callable[[float, str, Packet], None]
 
 
 class Queue:
@@ -36,8 +37,10 @@ class Queue:
         "enqueued_packets",
         "dropped_packets",
         "_items",
-        "_drop_listeners",
-        "_enqueue_listeners",
+        "arrivals_by_flow",
+        "drops_by_flow",
+        "drop_times",
+        "observer",
         "sanitizer",
     )
 
@@ -49,80 +52,42 @@ class Queue:
         self.enqueued_packets = 0
         self.dropped_packets = 0
         self._items: deque[Packet] = deque()
-        # Ordered multi-subscriber listener lists (see add_drop_listener).
-        self._drop_listeners: list[DropListener] = []
-        self._enqueue_listeners: list[DropListener] = []
+        # Per-flow counts and drop times: None until start_flow_counts().
+        self.arrivals_by_flow: Optional[Dict[int, int]] = None
+        self.drops_by_flow: Optional[Dict[int, int]] = None
+        self.drop_times: Optional[List[float]] = None
+        self.observer: Optional[QueueObserver] = None
         #: Byte-conservation auditor; set by SimSanitizer.watch_queue().
         self.sanitizer: Optional["SimSanitizer"] = None
 
     def __len__(self) -> int:
         return len(self._items)
 
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
+    def start_flow_counts(self, record_drop_times: bool = True) -> None:
+        """Start counting arrivals and drops per flow, and drop times.
 
-    def add_drop_listener(self, fn: DropListener) -> DropListener:
-        """Append a drop listener; listeners fire in attachment order."""
-        self._drop_listeners.append(fn)
-        return fn
+        ``run_experiment`` calls this at the warm-up cut, so the counts
+        cover exactly the measured window (the paper's drop log at the
+        BESS switch). The lifetime totals ``enqueued_packets`` and
+        ``dropped_packets`` are unaffected.
+        """
+        self.arrivals_by_flow = defaultdict(int)
+        self.drops_by_flow = defaultdict(int)
+        self.drop_times = [] if record_drop_times else None
 
-    def remove_drop_listener(self, fn: DropListener) -> None:
-        self._drop_listeners.remove(fn)
+    def _record_drop(self, now: float, packet: Packet) -> None:
+        """Count a drop per flow and show it to the observer, if any.
 
-    def add_enqueue_listener(self, fn: DropListener) -> DropListener:
-        """Append an enqueue listener; listeners fire in attachment order."""
-        self._enqueue_listeners.append(fn)
-        return fn
-
-    def remove_enqueue_listener(self, fn: DropListener) -> None:
-        self._enqueue_listeners.remove(fn)
-
-    @staticmethod
-    def _single(listeners: "list[DropListener]", slot: str) -> Optional[DropListener]:
-        if not listeners:
-            return None
-        if len(listeners) == 1:
-            return listeners[0]
-        raise RuntimeError(f"multiple {slot}s attached; track add_{slot} handles")
-
-    @staticmethod
-    def _assign(
-        listeners: "list[DropListener]", fn: Optional[DropListener], slot: str
-    ) -> None:
-        """Legacy single-slot assignment — refuses to clobber an observer."""
-        if fn is None:
-            listeners.clear()
-            return
-        if listeners:
-            raise RuntimeError(
-                f"queue already has a {slot} attached; assigning would "
-                f"clobber it. Use add_{slot}() (or subscribe through "
-                "repro.obs.EventBus) to attach additional observers."
-            )
-        listeners.append(fn)
-
-    @property
-    def drop_listener(self) -> Optional[DropListener]:
-        """The sole attached drop listener, or ``None`` (legacy accessor)."""
-        return self._single(self._drop_listeners, "drop_listener")
-
-    @drop_listener.setter
-    def drop_listener(self, fn: Optional[DropListener]) -> None:
-        self._assign(self._drop_listeners, fn, "drop_listener")
-
-    @property
-    def enqueue_listener(self) -> Optional[DropListener]:
-        """The sole attached enqueue listener, or ``None`` (legacy accessor)."""
-        return self._single(self._enqueue_listeners, "enqueue_listener")
-
-    @enqueue_listener.setter
-    def enqueue_listener(self, fn: Optional[DropListener]) -> None:
-        self._assign(self._enqueue_listeners, fn, "enqueue_listener")
-
-    def _notify_drop(self, now: float, packet: Packet) -> None:
-        for fn in self._drop_listeners:
-            fn(now, packet)
+        Every drop path (arrival rejected, resize eviction, AQM head
+        drop) ends here, after updating ``dropped_packets``.
+        """
+        drops = self.drops_by_flow
+        if drops is not None:
+            drops[packet.flow_id] += 1
+            if self.drop_times is not None:
+                self.drop_times.append(now)
+        if self.observer is not None:
+            self.observer(now, "drop", packet)
 
     def offer(self, now: float, packet: Packet) -> bool:
         """Try to enqueue ``packet`` at time ``now``.
@@ -136,13 +101,15 @@ class Queue:
             self.enqueued_packets += 1
             if self.sanitizer is not None:
                 self.sanitizer.on_enqueue(self, packet)
-            for fn in self._enqueue_listeners:
-                fn(now, packet)
+            if self.arrivals_by_flow is not None:
+                self.arrivals_by_flow[packet.flow_id] += 1
+            if self.observer is not None:
+                self.observer(now, "enqueue", packet)
             return True
         self.dropped_packets += 1
         if self.sanitizer is not None:
             self.sanitizer.on_reject(self, packet)
-        self._notify_drop(now, packet)
+        self._record_drop(now, packet)
         return False
 
     def poll(self, now: float = 0.0) -> Optional[Packet]:
@@ -176,7 +143,7 @@ class Queue:
             self.dropped_packets += 1
             if self.sanitizer is not None:
                 self.sanitizer.on_queue_drop(self, packet)
-            self._notify_drop(now, packet)
+            self._record_drop(now, packet)
         self.capacity_bytes = capacity_bytes
 
     def _evict_tail(self) -> Packet:
@@ -215,18 +182,17 @@ class DropTailQueue(Queue):
             self.enqueued_packets += 1
             if self.sanitizer is not None:
                 self.sanitizer.on_enqueue(self, packet)
-            listeners = self._enqueue_listeners
-            if listeners:
-                for fn in listeners:
-                    fn(now, packet)
+            arrivals = self.arrivals_by_flow
+            if arrivals is not None:
+                arrivals[packet.flow_id] += 1
+            observer = self.observer
+            if observer is not None:
+                observer(now, "enqueue", packet)
             return True
         self.dropped_packets += 1
         if self.sanitizer is not None:
             self.sanitizer.on_reject(self, packet)
-        listeners = self._drop_listeners
-        if listeners:
-            for fn in listeners:
-                fn(now, packet)
+        self._record_drop(now, packet)
         return False
 
 
@@ -371,7 +337,7 @@ class CoDelQueue(Queue):
         self.dropped_packets += 1
         if self.sanitizer is not None:
             self.sanitizer.on_queue_drop(self, packet)
-        self._notify_drop(now, packet)
+        self._record_drop(now, packet)
 
     def poll(self, now: float = 0.0) -> Optional[Packet]:
         if self.dropping:

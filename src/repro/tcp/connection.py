@@ -32,9 +32,9 @@ from .rangeset import RangeSet
 from .rate_sample import DeliveryRateEstimator
 from .rtt import RttEstimator
 
-#: Listener called as ``fn(now, kind, cwnd)`` where kind is one of
+#: Observer hook called as ``fn(now, kind, cwnd)`` where kind is one of
 #: "ack", "loss_event", "rto", "recovery_exit".
-CwndListener = Callable[[float, str, float], None]
+CwndObserver = Callable[[float, str, float], None]
 
 
 class PacketMeta:
@@ -181,12 +181,9 @@ class TcpSender:
         self._rto_deadline: Optional[float] = None
         self._rto_event: Optional[Event] = None
 
-        # Ordered cwnd listeners (multi-subscriber; see add_cwnd_listener).
-        self._cwnd_listeners: List[CwndListener] = []
-        # The subset of listeners that also want per-ACK "ack" events —
-        # the other kinds are orders of magnitude rarer, so the hot ACK
-        # path dispatches against this (usually empty) list only.
-        self._ack_cwnd_listeners: List[CwndListener] = []
+        #: The one optional observation hook; only
+        #: :meth:`repro.obs.bus.EventBus.bind_sender` installs it.
+        self.observer: Optional[CwndObserver] = None
         self.completion_listener: Optional[Callable[["TcpSender"], None]] = None
         # Runtime sanitizer (None when off): audited after every ACK/RTO.
         self._sanitizer = sim.sanitizer
@@ -444,11 +441,9 @@ class TcpSender:
         rs.newly_lost = newly_lost
         rate_estimator.finish_sample(rs, self.rtt.min_rtt)
         self.cca.on_ack(rs, self)
-        listeners = self._ack_cwnd_listeners
-        if listeners:
-            cwnd = self.cca.cwnd
-            for fn in listeners:
-                fn(now, "ack", cwnd)
+        observer = self.observer
+        if observer is not None:
+            observer(now, "ack", self.cca.cwnd)
         if self._sanitizer is not None:
             self._sanitizer.check_sender(self)
 
@@ -576,95 +571,14 @@ class TcpSender:
     # Observability
     # ------------------------------------------------------------------
 
-    def add_cwnd_listener(
-        self, fn: CwndListener, ack_events: bool = True
-    ) -> CwndListener:
-        """Append a cwnd listener; listeners fire in attachment order.
-
-        Any number of observers (probe, watchdog, metrics sampler,
-        event-bus forwarder) can coexist on one sender. Returns ``fn``
-        so the handle can be kept for :meth:`remove_cwnd_listener`.
-
-        ``ack_events=False`` registers a listener for the rare kinds
-        only ("loss_event", "rto", "recovery_exit"): the sender then
-        skips it entirely on the per-ACK fast path. Use
-        :meth:`enable_ack_events` to upgrade later.
-        """
-        self._cwnd_listeners.append(fn)
-        if ack_events:
-            self._ack_cwnd_listeners.append(fn)
-        return fn
-
-    def enable_ack_events(self, fn: CwndListener) -> None:
-        """Start delivering per-ACK "ack" events to an attached listener.
-
-        Upgrades a listener added with ``ack_events=False``; relative
-        delivery order among ack-event listeners always follows overall
-        attachment order. No-op if the listener already receives them.
-        """
-        if fn not in self._cwnd_listeners:
-            raise ValueError("listener is not attached to this sender")
-        if fn in self._ack_cwnd_listeners:
-            return
-        wanted = {id(f) for f in self._ack_cwnd_listeners}
-        wanted.add(id(fn))
-        self._ack_cwnd_listeners[:] = [
-            f for f in self._cwnd_listeners if id(f) in wanted
-        ]
-
-    def remove_cwnd_listener(self, fn: CwndListener) -> None:
-        """Detach a previously added listener (ValueError if absent)."""
-        self._cwnd_listeners.remove(fn)
-        if fn in self._ack_cwnd_listeners:
-            self._ack_cwnd_listeners.remove(fn)
-
-    @property
-    def cwnd_listener(self) -> Optional[CwndListener]:
-        """The sole attached listener, or ``None`` (legacy accessor)."""
-        if not self._cwnd_listeners:
-            return None
-        if len(self._cwnd_listeners) == 1:
-            return self._cwnd_listeners[0]
-        raise RuntimeError(
-            "multiple cwnd listeners attached; inspect _cwnd_listeners or "
-            "track handles from add_cwnd_listener instead"
-        )
-
-    @cwnd_listener.setter
-    def cwnd_listener(self, fn: Optional[CwndListener]) -> None:
-        """Legacy single-slot assignment — refuses to clobber.
-
-        Assigning used to silently replace whatever observer was
-        already attached (losing, e.g., a cwnd probe when the watchdog
-        arrived). Assignment now only works on an unobserved sender;
-        ``None`` detaches everything. Use :meth:`add_cwnd_listener` or
-        an :class:`~repro.obs.bus.EventBus` to compose observers.
-        """
-        if fn is None:
-            self._cwnd_listeners.clear()
-            self._ack_cwnd_listeners.clear()
-            return
-        if self._cwnd_listeners:
-            raise RuntimeError(
-                "sender already has a cwnd listener attached; assigning "
-                "would clobber it. Use add_cwnd_listener() (or subscribe "
-                "through repro.obs.EventBus) to attach additional observers."
-            )
-        self._cwnd_listeners.append(fn)
-        self._ack_cwnd_listeners.append(fn)
-
     def _notify_cwnd(self, kind: str) -> None:
-        """Dispatch a rare-kind cwnd event to every listener.
+        """Show a rare-kind cwnd event to the observer, if any.
 
-        The per-ACK "ack" notification is inlined in :meth:`_on_ack`
-        against ``_ack_cwnd_listeners`` instead of going through here.
+        The per-ACK "ack" notification is inlined in :meth:`_on_ack`.
         """
-        listeners = self._cwnd_listeners
-        if listeners:
-            now = self.sim.now
-            cwnd = self.cca.cwnd
-            for fn in listeners:
-                fn(now, kind, cwnd)
+        observer = self.observer
+        if observer is not None:
+            observer(self.sim.now, kind, self.cca.cwnd)
 
 
 class TcpReceiver:

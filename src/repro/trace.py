@@ -1,14 +1,13 @@
 """Result and time-series export.
 
 The paper's analysis pipeline lives off experiment artefacts: per-flow
-summaries, queue drop logs, cwnd traces. This module writes those as
+summaries, queue drop logs, cwnd traces (per-ACK cwnd series come from a
+:class:`~repro.obs.tracing.TraceRecorder`). This module writes those as
 CSV/JSON so external tooling (pandas, gnuplot, the paper's own plotting
 scripts) can consume them.
 
 - :func:`write_flow_csv` — one row per flow (goodput, loss, halvings…);
 - :func:`write_drops_csv` — the bottleneck drop-time series;
-- :func:`write_cwnd_csv` — a :class:`~repro.instrumentation.tcpprobe.CwndProbe`
-  sample series (tcpprobe's output format, simulator edition);
 - :func:`result_to_dict` / :func:`write_result_json` — everything, as
   one JSON document;
 - :func:`write_trace_jsonl` / :func:`write_health_json` — structured
@@ -24,7 +23,6 @@ import json
 from typing import IO, Any, Dict, Iterable, Tuple, Union
 
 from .core.results import ExperimentResult, FlowResult
-from .instrumentation.tcpprobe import CwndProbe
 from .obs.tracing import health_rows, write_jsonl, write_trace_jsonl
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "write_flow_csv",
     "read_flow_csv",
     "write_drops_csv",
-    "write_cwnd_csv",
     "result_to_dict",
     "write_result_json",
     "write_trace_jsonl",
@@ -104,19 +101,6 @@ def write_drops_csv(result: ExperimentResult, dest: PathOrFile) -> None:
         writer.writerow(["drop_time_s"])
         for t in result.drop_times:
             writer.writerow([t])
-    finally:
-        if owned:
-            fh.close()
-
-
-def write_cwnd_csv(probe: CwndProbe, dest: PathOrFile) -> None:
-    """Write a cwnd probe's recorded samples (needs ``record_samples``)."""
-    fh, owned = _open(dest)
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "event", "cwnd_packets"])
-        for t, kind, cwnd in probe.samples:
-            writer.writerow([t, kind, cwnd])
     finally:
         if owned:
             fh.close()

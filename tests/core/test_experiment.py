@@ -1,9 +1,12 @@
 """Tests for the experiment runner (small, fast scenarios)."""
 
+import pickle
+
 import pytest
 
 from repro.core.experiment import run_experiment
 from repro.core.scenarios import FlowGroup, Scenario
+from repro.obs.bus import EventBus
 from repro.units import mbps
 
 
@@ -76,6 +79,53 @@ def test_warmup_excluded_from_counters():
     sc = tiny_scenario(buffer_bytes=20_000, warmup=2.0, duration=5.0)
     result = run_experiment(sc)
     assert all(t >= 2.0 for t in result.drop_times)
+
+
+def _observed_run(sc):
+    """Run ``sc`` with every sender/queue event logged as ``(t, flow)``."""
+    bus = EventBus()
+    seen = {"enqueue": [], "drop": [], "loss": [], "rto": []}
+    for topic in ("enqueue", "drop"):
+        bus.subscribe(topic, lambda now, p, log=seen[topic]: log.append((now, p.flow_id)))
+    for topic in ("loss", "rto"):
+        bus.subscribe(topic, lambda now, fid, cwnd, log=seen[topic]: log.append((now, fid)))
+    return run_experiment(sc, bus=bus), seen
+
+
+@pytest.mark.parametrize("cut_topic", ["drop", "loss"])
+def test_warmup_cut_counts_events_at_exactly_the_cut(cut_topic):
+    """Events before the cut are excluded; events at exactly ``warmup``
+    are counted, for every counter the result reports."""
+    sc = tiny_scenario(buffer_bytes=20_000, duration=5.0, warmup=0.0)
+    whole, seen = _observed_run(sc)
+    times = [t for t, _ in seen[cut_topic]]
+    cut = times[len(times) // 2]  # an event happens at exactly the cut
+    assert 0.0 < cut < times[-1]
+
+    result = run_experiment(sc.with_overrides(warmup=cut))
+    assert result.events_processed == whole.events_processed
+
+    def after(topic, fid):
+        return sum(1 for t, f in seen[topic] if t >= cut and f == fid)
+
+    assert result.drop_times == [t for t, _ in seen["drop"] if t >= cut]
+    assert len(result.drop_times) < len(seen["drop"])
+    for flow in result.flows:
+        fid = flow.flow_id
+        assert flow.queue_drops == after("drop", fid)
+        assert flow.queue_arrivals == after("enqueue", fid)
+        assert flow.halvings == after("loss", fid)
+        assert flow.rtos == after("rto", fid)
+    assert result.queue_drops == sum(f.queue_drops for f in result.flows)
+    assert result.queue_arrivals == sum(f.queue_arrivals for f in result.flows)
+
+
+def test_results_do_not_depend_on_the_bus():
+    sc = tiny_scenario(buffer_bytes=20_000)
+    bare = run_experiment(sc)
+    observed, seen = _observed_run(sc)
+    assert pickle.dumps(bare) == pickle.dumps(observed)
+    assert seen["drop"] and seen["loss"]
 
 
 def test_convergence_check_stops_early():

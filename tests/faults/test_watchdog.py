@@ -5,8 +5,10 @@ import pickle
 import pytest
 
 from repro.core.experiment import default_event_budget, run_experiment
+from repro.core.goldens import result_digest
+from repro.core.results import RunHealth
 from repro.core.scenarios import edge_scale
-from repro.faults import FaultEvent, SimWatchdog, WatchdogConfig
+from repro.faults import FaultEvent, FaultSchedule, SimWatchdog, WatchdogConfig
 from repro.instrumentation.flowmon import FlowMonitor
 from repro.runstore import Job, RunOptions, RunStore, run_jobs
 from repro.sim.engine import SimulationError, Simulator
@@ -75,6 +77,25 @@ class TestStallDetection:
         assert result.health.ok  # ran to the configured duration
         assert result.health.stalled_flows == [0, 1, 2]  # ...but stalls recorded
         assert result.measured_duration == pytest.approx(39.0)
+
+    def test_stall_truncated_run_is_pinned(self):
+        """A watchdog-armed faulted run, pinned to its digest and health
+        record: the stall verdicts come from the polled progress marks,
+        and any change to how they are read must leave both unchanged."""
+        scenario = edge_scale(
+            flows=4, cca="cubic", duration=30, warmup=1, seed=5
+        ).with_overrides(faults=FaultSchedule.from_spec("down@3", 30).events)
+        result = run_experiment(scenario, watchdog=WatchdogConfig(stall_budget=4.0))
+        assert result_digest(result) == (
+            "0f4fdb493c00523aa4728303243e76e3d78ce56be81e928908685382f75956de"
+        )
+        assert result.health == RunHealth(
+            ok=False,
+            reason="stall",
+            truncated_at=8.0,
+            stalled_flows=[0, 1, 2, 3],
+            fault_timeline=[(3.0, "link down")],
+        )
 
     def test_healthy_run_reports_no_stalls(self):
         scenario = edge_scale(flows=2, duration=6.0, warmup=1.0, seed=7)

@@ -89,6 +89,21 @@ def test_late_subscription_still_delivers(sim):
     assert seen  # events after the late subscription were delivered
 
 
+def test_hook_installed_only_for_subscribed_flows(sim):
+    # A bound sender gets its one hook only once a subscription can
+    # reach it: an unobserved run makes no observation call per ACK.
+    sender, _, _ = make_pipe(sim, NewReno(), total_packets=20)
+    bus = EventBus()
+    hook = bus.bind_sender(sender)
+    assert sender.observer is None
+    bus.subscribe("cwnd", lambda now, fid, kind, cwnd: None, flow=9)
+    assert sender.observer is None  # another flow's subscription
+    bus.subscribe("rto", lambda now, fid, cwnd: None, flow=0)
+    assert sender.observer is hook
+    with pytest.raises(RuntimeError):
+        EventBus().bind_sender(sender)  # one hook per component
+
+
 def test_bind_queue_forwards_enqueue_and_drop():
     queue = DropTailQueue(3000)
     bus = EventBus()

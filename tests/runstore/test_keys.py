@@ -9,7 +9,6 @@ from repro.runstore.keys import (
     DEFAULT_OPTIONS,
     canonical_json,
     job_key,
-    legacy_key,
     scenario_to_canonical,
 )
 
@@ -65,9 +64,3 @@ def test_canonical_json_is_valid_compact_json():
     assert json.loads(text)["name"] == "s4"
     assert ": " not in text and ", " not in text
 
-
-def test_legacy_key_is_md5_of_repr():
-    sc = scenario(5)
-    expected = hashlib.md5(f"v7|{sc!r}".encode()).hexdigest()
-    assert legacy_key(sc, 7) == expected
-    assert len(legacy_key(sc, 7)) == 32

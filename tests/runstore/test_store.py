@@ -1,12 +1,10 @@
 """RunStore durability, indexing and gc tests."""
 
 import os
-import pickle
 
-from repro.runstore import CACHE_VERSION, RunStore, job_key, migrate_legacy
-from repro.runstore.keys import legacy_key
+from repro.runstore import CACHE_VERSION, RunStore, job_key
 
-from .fakes import FakeResult, scenario
+from .fakes import scenario
 
 
 def _store(tmp_path):
@@ -130,32 +128,3 @@ def test_gc_all_versions_keeps_old_entries(tmp_path):
     report = store.gc(all_versions=True)
     assert report.kept == 1
     assert store.contains(stale)
-
-
-def test_migrate_legacy_valid_stale_and_corrupt(tmp_path):
-    store = _store(tmp_path)
-    legacy_dir = tmp_path / "legacy"
-    legacy_dir.mkdir()
-
-    sc = scenario(1)
-    old_version = CACHE_VERSION - 1
-    valid = legacy_dir / (legacy_key(sc, old_version) + ".pkl")
-    with open(valid, "wb") as fh:
-        pickle.dump(FakeResult(sc), fh)
-    stale = legacy_dir / ("b" * 32 + ".pkl")  # key from an older epoch
-    with open(stale, "wb") as fh:
-        pickle.dump(FakeResult(scenario(2)), fh)
-    corrupt = legacy_dir / ("c" * 32 + ".pkl")
-    corrupt.write_bytes(b"not a pickle")
-
-    report = migrate_legacy(store, legacy_dir=str(legacy_dir))
-    assert [os.path.basename(p) for p in report.migrated] == [valid.name]
-    assert [os.path.basename(p) for p in report.stale] == [stale.name]
-    assert [os.path.basename(p) for p in report.corrupt] == [corrupt.name]
-    assert report.pruned == []
-    migrated_meta = store.meta(job_key(sc))
-    assert migrated_meta["migrated_from"] == valid.name
-    assert migrated_meta["events"] == 100
-
-    report = migrate_legacy(store, legacy_dir=str(legacy_dir), prune=True)
-    assert not valid.exists() and not stale.exists() and not corrupt.exists()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.bus import EventBus
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.queue import CoDelQueue
@@ -56,15 +57,22 @@ def test_persistent_delay_triggers_dequeue_drops():
 
 def test_drop_listener_invoked():
     q = CoDelQueue(1_000_000)
+    bus = EventBus()
+    bus.bind_queue(q)
     drops = []
-    q.drop_listener = lambda now, p: drops.append(now)
+    bus.subscribe("drop", lambda now, p: drops.append(now))
     for i in range(50):
         q.offer(0.0, pkt(i))
+    q.start_flow_counts()
     t = 0.5
     for _ in range(30):
         q.poll(t)
         t += 0.05
     assert drops, "dequeue drops must notify the listener"
+    # head drops are counted per flow and timestamped like arrival drops
+    assert q.drops_by_flow == {0: len(drops)} == {0: q.dropped_packets}
+    assert q.drop_times == drops
+    assert q.arrivals_by_flow == {}
 
 
 def test_codel_bounds_standing_queue_end_to_end():

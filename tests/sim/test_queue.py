@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.obs.bus import EventBus
 from repro.sim.packet import Packet
 from repro.sim.queue import DropTailQueue, REDQueue
 
@@ -49,18 +50,56 @@ class TestDropTail:
 
     def test_drop_listener_invoked_with_time_and_packet(self):
         q = DropTailQueue(1500)
+        bus = EventBus()
+        bus.bind_queue(q)
         drops = []
-        q.drop_listener = lambda now, p: drops.append((now, p.flow_id))
+        bus.subscribe("drop", lambda now, p: drops.append((now, p.flow_id)))
         q.offer(1.0, pkt(flow=1))
         q.offer(2.0, pkt(flow=2))
         assert drops == [(2.0, 2)]
 
     def test_enqueue_listener(self):
         q = DropTailQueue(10_000)
+        bus = EventBus()
+        bus.bind_queue(q)
         seen = []
-        q.enqueue_listener = lambda now, p: seen.append(p.flow_id)
+        bus.subscribe("enqueue", lambda now, p: seen.append(p.flow_id))
         q.offer(0.0, pkt(flow=7))
         assert seen == [7]
+
+    def test_no_observer_until_something_subscribes(self):
+        q = DropTailQueue(10_000)
+        bus = EventBus()
+        bus.bind_queue(q)
+        assert q.observer is None
+        bus.subscribe("drop", lambda now, p: None)
+        assert q.observer is not None
+        with pytest.raises(RuntimeError):
+            EventBus().bind_queue(q)  # one hook per component
+
+    def test_flow_counts_start_at_the_cut(self):
+        q = DropTailQueue(3000)
+        q.offer(0.5, pkt(flow=1))
+        q.offer(0.5, pkt(flow=1))
+        q.offer(0.5, pkt(flow=1))  # dropped before counting starts
+        assert q.drops_by_flow is None and q.drop_times is None
+        q.start_flow_counts()
+        q.poll()
+        q.offer(1.0, pkt(flow=2))
+        q.offer(2.0, pkt(flow=3))  # dropped
+        assert q.arrivals_by_flow == {2: 1}
+        assert q.drops_by_flow == {3: 1}
+        assert q.drop_times == [2.0]
+        # lifetime totals are unaffected by the cut
+        assert q.enqueued_packets == 3 and q.dropped_packets == 2
+
+    def test_drop_times_can_be_left_out(self):
+        q = DropTailQueue(1500)
+        q.start_flow_counts(record_drop_times=False)
+        q.offer(0.0, pkt(flow=1))
+        q.offer(1.0, pkt(flow=1))
+        assert q.drops_by_flow == {1: 1}
+        assert q.drop_times is None
 
     def test_len_counts_packets(self):
         q = DropTailQueue(10_000)
@@ -121,14 +160,20 @@ class TestSetCapacity:
 
     def test_shrink_evicts_newest_first_with_accounting(self):
         q = DropTailQueue(6000)
+        bus = EventBus()
+        bus.bind_queue(q)
         drops = []
-        q.drop_listener = lambda now, p: drops.append((now, p.seq))
+        bus.subscribe("drop", lambda now, p: drops.append((now, p.seq)))
         for seq in range(4):
-            q.offer(0.0, Packet.data(0, seq, 1500))
+            q.offer(0.0, Packet.data(seq % 2, seq, 1500))
+        q.start_flow_counts()
         q.set_capacity(3000, now=2.5)
         assert q.occupancy_bytes == 3000
         assert q.dropped_packets == 2
         assert drops == [(2.5, 3), (2.5, 2)]  # tail (newest) evicted first
+        # evictions are drops in the per-flow counts too
+        assert q.drops_by_flow == {1: 1, 0: 1}
+        assert q.drop_times == [2.5, 2.5]
         # survivors keep FIFO order
         assert [q.poll().seq, q.poll().seq] == [0, 1]
 

@@ -6,6 +6,7 @@ timing and loss are fully controlled.
 
 import pytest
 
+from repro.obs.bus import EventBus
 from repro.tcp.cca.newreno import NewReno
 from tests.conftest import make_pipe
 
@@ -124,14 +125,14 @@ class TestLossRecovery:
         sender, _, _ = make_pipe(
             sim, NewReno(), total_packets=4000, drop_indices={100, 101, 102}
         )
-        events = []
-        sender.cwnd_listener = lambda now, kind, cwnd: (
-            events.append((kind, cwnd)) if kind != "ack" else None
-        )
+        bus = EventBus()
+        bus.bind_sender(sender)
+        halvings = []
+        bus.subscribe("loss", lambda now, fid, cwnd: halvings.append(cwnd))
         sender.start()
         sim.run(until=30.0)
-        halvings = [e for e in events if e[0] == "loss_event"]
         assert len(halvings) == 1
+        assert sender.stats.loss_recovery_events == 1
 
     def test_dupthresh_marking_mode(self, sim):
         sender, receiver, _ = make_pipe(

@@ -6,7 +6,6 @@ import json
 from repro import trace
 from repro.core.experiment import run_experiment
 from repro.core.scenarios import FlowGroup, Scenario
-from repro.instrumentation.tcpprobe import CwndProbe
 from repro.units import mbps
 import pytest
 
@@ -78,17 +77,6 @@ def test_drops_csv(result):
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "drop_time_s"
     assert len(lines) == 1 + len(result.drop_times)
-
-
-def test_cwnd_csv():
-    probe = CwndProbe(record_samples=True)
-    probe.on_event(1.0, "ack", 12.0)
-    probe.on_event(2.0, "loss_event", 6.0)
-    buf = io.StringIO()
-    trace.write_cwnd_csv(probe, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "time_s,event,cwnd_packets"
-    assert len(lines) == 3
 
 
 def test_result_json(result):
