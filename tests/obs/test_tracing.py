@@ -5,8 +5,9 @@ import io
 import pytest
 
 from repro.core.results import RunHealth
-from repro.obs.bus import EventBus
+from repro.obs.bus import TOPICS, EventBus
 from repro.obs.tracing import (
+    ROW_FIELDS,
     TraceRecorder,
     health_rows,
     read_jsonl,
@@ -30,6 +31,83 @@ def test_rejects_unknown_topics_and_bad_cap():
         TraceRecorder(bus, topics=("cwnd", "nope"))
     with pytest.raises(ValueError):
         TraceRecorder(bus, max_events=0)
+
+
+def test_rejects_duplicate_topics():
+    bus = EventBus()
+    with pytest.raises(ValueError, match="duplicate topics"):
+        TraceRecorder(bus, topics=("fault", "fault"))
+    # The rejected recorder subscribed nothing: one publish, no rows.
+    recorder = TraceRecorder(bus, topics=("fault",))
+    bus.publish("fault", 1.0, "link down")
+    assert recorder.summary()["recorded"] == 1
+
+
+def test_rows_are_flat_tuples_in_topic_field_order():
+    bus = EventBus()
+    recorder = TraceRecorder(bus, topics=TOPICS, start_time=1.0)
+    bus.publish("cwnd", 2.0, 3, "loss_event", 12.5)
+    bus.publish("loss", 2.0, 3, 12.5)
+    bus.publish("rto", 2.5, 4, 1.0)
+    bus.publish("enqueue", 3.0, Packet(flow_id=5, seq=9, size=1000))
+    bus.publish("drop", 3.0, Packet(flow_id=5, seq=10, size=1000))
+    bus.publish("fault", 3.5, "link down")
+    assert recorder.rows == [
+        (2.0, "cwnd", 3, "loss_event", 12.5),
+        (2.0, "loss", 3, 12.5),
+        (2.5, "rto", 4, 1.0),
+        (3.0, "enqueue", 5, 9),
+        (3.0, "drop", 5, 10),
+        (3.5, "fault", "link down"),
+    ]
+    assert all(len(row) == len(ROW_FIELDS[row[1]]) for row in recorder.rows)
+    assert recorder.events[1] == {"t": 2.0, "topic": "loss", "flow": 3, "cwnd": 12.5}
+    assert recorder.events[2] == {"t": 2.5, "topic": "rto", "flow": 4, "cwnd": 1.0}
+    assert recorder.summary() == {
+        "recorded": 6,
+        "dropped": 0,
+        "by_topic": {t: 1 for t in ("cwnd", "loss", "rto", "enqueue", "drop", "fault")},
+    }
+
+
+def test_events_is_a_fresh_dict_view_of_the_rows():
+    bus = EventBus()
+    recorder = TraceRecorder(bus)
+    bus.publish("cwnd", 0.5, 1, "ack", 10.0)
+    bus.publish("fault", 0.6, "link down")
+    first = recorder.events
+    assert first == [
+        {"t": 0.5, "topic": "cwnd", "flow": 1, "kind": "ack", "cwnd": 10.0},
+        {"t": 0.6, "topic": "fault", "desc": "link down"},
+    ]
+    first[0]["cwnd"] = -1.0
+    first.clear()
+    assert recorder.events is not first
+    assert recorder.events[0]["cwnd"] == 10.0
+    assert recorder.rows[0] == (0.5, "cwnd", 1, "ack", 10.0)
+
+
+def test_warmup_cut_and_cap_apply_to_every_stored_shape():
+    bus = EventBus()
+    recorder = TraceRecorder(bus, topics=TOPICS, max_events=3, start_time=5.0)
+    bus.publish("cwnd", 4.0, 0, "ack", 2.0)
+    bus.publish("loss", 4.0, 0, 2.0)
+    bus.publish("rto", 4.0, 0, 1.0)
+    bus.publish("drop", 4.0, Packet(flow_id=0, seq=1, size=1000))
+    bus.publish("fault", 4.0, "early fault")  # exempt from the cut
+    assert recorder.rows == [(4.0, "fault", "early fault")]
+    assert recorder.dropped_events == 0
+    bus.publish("enqueue", 5.0, Packet(flow_id=0, seq=2, size=1000))
+    bus.publish("rto", 6.0, 0, 1.0)
+    bus.publish("cwnd", 7.0, 0, "rto", 1.0)  # over the cap
+    bus.publish("fault", 8.0, "late fault")  # over the cap
+    assert [row[1] for row in recorder.rows] == ["fault", "enqueue", "rto"]
+    assert recorder.dropped_events == 2
+    assert recorder.summary() == {
+        "recorded": 3,
+        "dropped": 2,
+        "by_topic": {"fault": 1, "enqueue": 1, "rto": 1},
+    }
 
 
 def test_records_cwnd_rows_with_warmup_cut(sim):
