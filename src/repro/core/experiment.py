@@ -44,7 +44,7 @@ from ..faults.watchdog import SimWatchdog, WatchdogConfig
 from ..instrumentation.flowmon import FlowMonitor
 from ..obs.bus import EventBus
 from ..obs.profiler import SimProfiler
-from ..sim.engine import SimulationError, Simulator
+from ..sim.engine import SimulationError, Simulator, collector_paused
 from ..sim.queue import DropTailQueue, Queue, REDQueue
 from ..sim.topology import FlowSpec, build_dumbbell
 from ..tcp.cca import CCA_REGISTRY
@@ -152,77 +152,82 @@ def run_experiment(
         is byte-identical with or without it.
     """
     rng = random.Random(scenario.seed)
-    sim = Simulator()
-    if profiler is not None:
-        profiler.install(sim)
+    # Set-up makes no reference cycles that become garbage, so the
+    # cyclic collector could only re-scan the growing network graph
+    # (see DESIGN.md §11).
+    with collector_paused():
+        sim = Simulator()
+        if profiler is not None:
+            profiler.install(sim)
 
-    specs: List[FlowSpec] = []
-    cca_names: List[str] = []
-    for group in scenario.groups:
-        for _ in range(group.count):
-            start = rng.uniform(0.0, scenario.stagger_max) if scenario.stagger_max else 0.0
-            specs.append(
-                FlowSpec(
-                    cca=_make_cca(group.cca, rng),
-                    rtt=group.rtt,
-                    start_time=start,
-                    jitter=scenario.ack_jitter_fraction * group.rtt,
-                    jitter_seed=rng.getrandbits(32),
+        specs: List[FlowSpec] = []
+        cca_names: List[str] = []
+        for group in scenario.groups:
+            for _ in range(group.count):
+                start = rng.uniform(0.0, scenario.stagger_max) if scenario.stagger_max else 0.0
+                specs.append(
+                    FlowSpec(
+                        cca=_make_cca(group.cca, rng),
+                        rtt=group.rtt,
+                        start_time=start,
+                        jitter=scenario.ack_jitter_fraction * group.rtt,
+                        jitter_seed=rng.getrandbits(32),
+                    )
                 )
-            )
-            cca_names.append(group.cca)
+                cca_names.append(group.cca)
 
-    queue = _make_queue(scenario, rng)
-    dumbbell = build_dumbbell(
-        sim,
-        specs,
-        bottleneck_bw_bps=scenario.bottleneck_bw_bps,
-        buffer_bytes=scenario.buffer_bytes,
-        queue=queue,
-        delayed_ack=scenario.delayed_ack,
-    )
-
-    if bus is not None:
-        for flow in dumbbell.flows:
-            bus.bind_sender(flow.sender)
-        bus.bind_queue(queue)
-    senders = [flow.sender for flow in dumbbell.flows]
-    flow_mon = FlowMonitor(sim, senders)
-
-    schedule = fault_schedule
-    if schedule is None and scenario.faults:
-        schedule = FaultSchedule(scenario.faults)
-    injector: Optional[FaultInjector] = None
-    if schedule is not None and schedule.events:
-        injector = FaultInjector(
+        queue = _make_queue(scenario, rng)
+        dumbbell = build_dumbbell(
             sim,
-            schedule,
-            dumbbell,
-            rng=random.Random(scenario.seed ^ _FAULT_SEED_SALT),
-            bus=bus,
+            specs,
+            bottleneck_bw_bps=scenario.bottleneck_bw_bps,
+            buffer_bytes=scenario.buffer_bytes,
+            queue=queue,
+            delayed_ack=scenario.delayed_ack,
         )
-        injector.arm()
 
-    dog: Optional[SimWatchdog] = None
-    if watchdog is not None:
-        dog = SimWatchdog(
-            sim, flow_mon, [spec.start_time for spec in specs], config=watchdog
-        )
-        dog.arm()
+        if bus is not None:
+            for flow in dumbbell.flows:
+                bus.bind_sender(flow.sender)
+            bus.bind_queue(queue)
+        senders = [flow.sender for flow in dumbbell.flows]
+        flow_mon = FlowMonitor(sim, senders)
 
-    budget = max_events if max_events is not None else default_event_budget(scenario)
-    if budget <= 0:
-        raise ValueError("max_events must be positive")
+        schedule = fault_schedule
+        if schedule is None and scenario.faults:
+            schedule = FaultSchedule(scenario.faults)
+        injector: Optional[FaultInjector] = None
+        if schedule is not None and schedule.events:
+            injector = FaultInjector(
+                sim,
+                schedule,
+                dumbbell,
+                rng=random.Random(scenario.seed ^ _FAULT_SEED_SALT),
+                bus=bus,
+            )
+            injector.arm()
 
-    def _interrupt_reason() -> str:
-        """Why the last ``sim.run`` stopped short of its target."""
-        if dog is not None and dog.aborted:
-            return dog.abort_reason or "stall"
-        if sim.events_processed >= budget:
-            return "event_budget"
-        return ""
+        dog: Optional[SimWatchdog] = None
+        if watchdog is not None:
+            dog = SimWatchdog(
+                sim, flow_mon, [spec.start_time for spec in specs], config=watchdog
+            )
+            dog.arm()
 
-    dumbbell.start_all()
+        budget = max_events if max_events is not None else default_event_budget(scenario)
+        if budget <= 0:
+            raise ValueError("max_events must be positive")
+
+        def _interrupt_reason() -> str:
+            """Why the last ``sim.run`` stopped short of its target."""
+            if dog is not None and dog.aborted:
+                return dog.abort_reason or "stall"
+            if sim.events_processed >= budget:
+                return "event_budget"
+            return ""
+
+        dumbbell.start_all()
+
     # The warm-up cut: halvings, RTOs and queue counts start at exactly
     # t == warmup. The warm-up run stops just below the cut to take it,
     # so events at the cut itself are counted; a scheduled cut event

@@ -28,12 +28,22 @@ Design notes
   one with no per-event instrumentation checks. They execute events
   identically — the split exists purely so the common case pays zero
   per-event cost for observation hooks it is not using.
+- ``run`` dispatches with CPython's cyclic garbage collector paused
+  (:func:`collector_paused`). At CoreScale the live graph holds most of
+  a million tracked objects (queued packets, scoreboard entries, pending
+  events), and the collector's periodic sweeps over it took about 30% of
+  a run's wall time while freeing nothing: the simulator makes
+  no reference cycles while it dispatches, so reference counting alone
+  reclaims everything it drops. ``tests/sim/test_collector.py`` pins
+  that invariant.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
-from typing import Any, Callable, List, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, List, Optional
 
 from ..lint.sanitizer import SimSanitizer, maybe_sanitizer
 
@@ -65,6 +75,25 @@ def event_time(event: Event) -> float:
 def event_pending(event: Event) -> bool:
     """True while the event is scheduled and not yet cancelled/fired."""
     return event[_FN] is not None
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause CPython's cyclic garbage collector for the ``with`` body.
+
+    The collector is re-enabled on exit only if it was enabled on entry,
+    so pauses nest and a caller that disabled it keeps it disabled.
+    Reference counting still frees everything that forms no cycle; code
+    run inside must not leave garbage cycles behind, because nothing
+    reclaims them until the collector runs again.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class SimulationError(RuntimeError):
@@ -219,6 +248,11 @@ class Simulator:
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run the event loop.
 
+        Handlers run with the cyclic garbage collector paused
+        (:func:`collector_paused`); its prior state is restored when the
+        loop returns or raises. A handler must not leave garbage
+        reference cycles behind.
+
         Parameters
         ----------
         until:
@@ -247,56 +281,57 @@ class Simulator:
         sanitizer = self.sanitizer
         profiler = self.profiler
         try:
-            if sanitizer is None and profiler is None:
-                # Bare loop: no per-event instrumentation checks.
-                while heap:
-                    event = heap[0]
-                    fn = event[_FN]
-                    if fn is None:
+            with collector_paused():
+                if sanitizer is None and profiler is None:
+                    # Bare loop: no per-event instrumentation checks.
+                    while heap:
+                        event = heap[0]
+                        fn = event[_FN]
+                        if fn is None:
+                            _heappop(heap)
+                            self._cancelled -= 1
+                            continue
+                        time = event[_TIME]
+                        if time > limit or budget <= 0:
+                            break
+                        budget -= 1
                         _heappop(heap)
-                        self._cancelled -= 1
-                        continue
-                    time = event[_TIME]
-                    if time > limit or budget <= 0:
-                        break
-                    budget -= 1
-                    _heappop(heap)
-                    self.now = time
-                    args = event[_ARGS]
-                    event[_FN] = None
-                    event[_ARGS] = ()
-                    fn(*args)
-                    processed += 1
-                    if self._stop_requested:
-                        break
-            else:
-                while heap:
-                    event = heap[0]
-                    fn = event[_FN]
-                    if fn is None:
+                        self.now = time
+                        args = event[_ARGS]
+                        event[_FN] = None
+                        event[_ARGS] = ()
+                        fn(*args)
+                        processed += 1
+                        if self._stop_requested:
+                            break
+                else:
+                    while heap:
+                        event = heap[0]
+                        fn = event[_FN]
+                        if fn is None:
+                            _heappop(heap)
+                            self._cancelled -= 1
+                            continue
+                        time = event[_TIME]
+                        if time > limit or budget <= 0:
+                            break
+                        budget -= 1
                         _heappop(heap)
-                        self._cancelled -= 1
-                        continue
-                    time = event[_TIME]
-                    if time > limit or budget <= 0:
-                        break
-                    budget -= 1
-                    _heappop(heap)
-                    if sanitizer is not None:
-                        sanitizer.on_execute(time)
-                    self.now = time
-                    args = event[_ARGS]
-                    event[_FN] = None
-                    event[_ARGS] = ()
-                    if profiler is not None:
-                        start = profiler.clock()
-                        fn(*args)
-                        profiler.record(fn, profiler.clock() - start)
-                    else:
-                        fn(*args)
-                    processed += 1
-                    if self._stop_requested:
-                        break
+                        if sanitizer is not None:
+                            sanitizer.on_execute(time)
+                        self.now = time
+                        args = event[_ARGS]
+                        event[_FN] = None
+                        event[_ARGS] = ()
+                        if profiler is not None:
+                            start = profiler.clock()
+                            fn(*args)
+                            profiler.record(fn, profiler.clock() - start)
+                        else:
+                            fn(*args)
+                        processed += 1
+                        if self._stop_requested:
+                            break
         finally:
             self._events_processed = processed
             self._running = False

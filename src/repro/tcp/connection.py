@@ -21,11 +21,11 @@ data (the paper's workload) or a fixed number of packets.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from ..sim.engine import Event, Simulator, event_pending, event_time
 from ..sim.link import Sink
-from ..sim.packet import Packet, SackBlock
+from ..sim.packet import Packet
 from ..units import ACK_PACKET_BYTES, DATA_PACKET_BYTES
 from .cca.base import CongestionControl
 from .rangeset import RangeSet
@@ -174,7 +174,6 @@ class TcpSender:
         # SACKed union lost: holes in this set are the only candidates
         # the loss marker still needs to visit.
         self._covered = RangeSet()
-        self._high_sacked = 0
         self._retx_heap: List[int] = []
         self._pacing_next = 0.0
         self._send_timer: Optional[Event] = None
@@ -306,10 +305,8 @@ class TcpSender:
         self.rate_estimator.on_packet_sent(meta, now, in_flight - 1)
         meta.sent_time = now
         self.stats.packets_sent += 1
-        packet = Packet(self.flow_id, seq, self.mss)
-        packet.sent_time = now
         assert self.path is not None
-        self.path.send(packet)
+        self.path.send(Packet(self.flow_id, seq, self.mss))
         if self._rto_deadline is None:
             self._set_rto_deadline(now + self.rtt.rto)
 
@@ -391,7 +388,12 @@ class TcpSender:
                     hi = snd_nxt
                 if lo >= hi:
                     continue
-                for gap_lo, gap_hi in sacked_set.holes_between(lo, hi):
+                holes = sacked_set.holes_between(lo, hi)
+                if not holes:
+                    # Already SACKed, so already covered too (_covered
+                    # holds _sacked): both inserts would change nothing.
+                    continue
+                for gap_lo, gap_hi in holes:
                     for seq in range(gap_lo, gap_hi):
                         meta = meta_get(seq)
                         if meta is None or meta.sacked:
@@ -410,8 +412,6 @@ class TcpSender:
                             self.retrans_out -= 1
                 sacked_set.add(lo, hi)
                 covered.add(lo, hi)
-                if hi - 1 > self._high_sacked:
-                    self._high_sacked = hi - 1
 
         # --- loss detection -------------------------------------------
         newly_lost = self._mark_lost_from_sack()
@@ -684,23 +684,6 @@ class TcpReceiver:
         if self._unacked_segments > 0:
             self._send_ack(triggering_seq=None)
 
-    def _sack_blocks(self, triggering_seq: Optional[int]) -> Tuple[SackBlock, ...]:
-        if not self._ooo:
-            return ()
-        ranges = self._ooo.ranges()
-        blocks: List[SackBlock] = []
-        if triggering_seq is not None:
-            for r in ranges:
-                if r[0] <= triggering_seq < r[1]:
-                    blocks.append(r)
-                    break
-        for r in ranges:
-            if len(blocks) >= self.max_sack_blocks:
-                break
-            if r not in blocks:
-                blocks.append(r)
-        return tuple(blocks)
-
     def _send_ack(self, triggering_seq: Optional[int]) -> None:
         if self.reverse_path is None:
             raise RuntimeError("TcpReceiver has no reverse path attached")
@@ -713,7 +696,7 @@ class TcpReceiver:
             size=ACK_PACKET_BYTES,
             is_ack=True,
             ack_seq=self.rcv_nxt,
-            sack_blocks=self._sack_blocks(triggering_seq) if self._ooo else (),
+            sack_blocks=tuple(self._ooo.lowest_ranges(self.max_sack_blocks, triggering_seq)),
         )
         self.acks_sent += 1
         self.reverse_path.send(ack)

@@ -51,6 +51,31 @@ class RangeSet:
         """All ranges as a list of ``(start, end)`` tuples, ascending."""
         return list(zip(self._starts, self._ends))
 
+    def lowest_ranges(self, n: int, first: Optional[int] = None) -> List[Range]:
+        """The range holding ``first`` (when ``first`` is covered), then
+        the lowest other ranges in ascending order while fewer than ``n``
+        are listed.
+
+        This is the order a TCP receiver reports SACK blocks in: the
+        block with the segment that triggered the ACK goes first. It
+        reads at most ``n + 1`` leading ranges, whatever the set's size.
+        """
+        starts, ends = self._starts, self._ends
+        blocks: List[Range] = []
+        held = -1
+        if first is not None:
+            idx = bisect_right(starts, first) - 1
+            if idx >= 0 and first < ends[idx]:
+                held = idx
+                blocks.append((starts[idx], ends[idx]))
+        i = 0
+        count = len(starts)
+        while len(blocks) < n and i < count:
+            if i != held:
+                blocks.append((starts[i], ends[i]))
+            i += 1
+        return blocks
+
     def consistency_error(self) -> Optional[str]:
         """Describe the first structural-invariant violation, or ``None``.
 

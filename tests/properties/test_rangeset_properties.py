@@ -12,11 +12,14 @@ Derandomized with ``database=None`` (see test_engine_properties).
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim.engine import Simulator
+from repro.sim.packet import Packet
+from repro.tcp.connection import TcpReceiver
 from repro.tcp.rangeset import RangeSet
 
 PROPERTY_SETTINGS = settings(
@@ -136,3 +139,53 @@ def test_ranges_roundtrip(ops):
         covered.update(range(lo, hi))
         prev_end = hi
     assert covered == model
+
+
+class _AckSink:
+    def __init__(self) -> None:
+        self.acks: List[Packet] = []
+
+    def send(self, packet: Packet) -> None:
+        self.acks.append(packet)
+
+
+def _reference_sack_blocks(
+    rs: RangeSet, triggering_seq: Optional[int], max_blocks: int
+) -> Tuple[Tuple[int, int], ...]:
+    """Reference formula over the full range list: the block holding the
+    triggering segment, then the lowest other blocks, up to the cap."""
+    if not rs:
+        return ()
+    ranges = rs.ranges()
+    blocks: List[Tuple[int, int]] = []
+    if triggering_seq is not None:
+        for r in ranges:
+            if r[0] <= triggering_seq < r[1]:
+                blocks.append(r)
+                break
+    for r in ranges:
+        if len(blocks) >= max_blocks:
+            break
+        if r not in blocks:
+            blocks.append(r)
+    return tuple(blocks)
+
+
+@PROPERTY_SETTINGS
+@given(
+    ops=_OPS,
+    triggering_seq=st.one_of(st.none(), _VALUE),
+    max_blocks=st.integers(min_value=0, max_value=5),
+)
+def test_receiver_sack_blocks_match_reference(ops, triggering_seq, max_blocks):
+    """The ACK's SACK option, read through RangeSet.lowest_ranges, equals
+    the full-list formula for any out-of-order set and trigger."""
+    rs, model = RangeSet(), set()
+    for op in ops:
+        _apply(rs, model, op)
+    sink = _AckSink()
+    receiver = TcpReceiver(Simulator(), 0, reverse_path=sink, max_sack_blocks=max_blocks)
+    receiver._ooo = rs
+    receiver._send_ack(triggering_seq=triggering_seq)
+    (ack,) = sink.acks
+    assert ack.sack_blocks == _reference_sack_blocks(rs, triggering_seq, max_blocks)
