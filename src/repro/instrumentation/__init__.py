@@ -1,4 +1,4 @@
-"""Measurement instrumentation: flow goodput and packet capture.
+"""Measurement instrumentation: flow goodput.
 
 Halvings, RTOs and queue drops are counted by the senders and the queue
 themselves (``ConnectionStats``, ``Queue.start_flow_counts``); per-ACK
